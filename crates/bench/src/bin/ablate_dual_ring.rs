@@ -5,6 +5,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin ablate_dual_ring [app]`
 
+#![forbid(unsafe_code)]
+
 use bench::{maybe_fast, SEED};
 use ring_coherence::ProtocolKind;
 use ring_stats::{Align, Table};

@@ -6,6 +6,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin ablate_ltt`
 
+#![forbid(unsafe_code)]
+
 use bench::{maybe_fast, SEED};
 use ring_coherence::ProtocolKind;
 use ring_stats::{Align, Table};

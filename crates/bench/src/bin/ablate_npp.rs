@@ -5,6 +5,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin ablate_npp [app]`
 
+#![forbid(unsafe_code)]
+
 use bench::{maybe_fast, SEED};
 use ring_stats::{Align, Table};
 use ring_system::{Machine, MachineConfig};

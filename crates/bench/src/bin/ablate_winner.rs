@@ -5,6 +5,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin ablate_winner`
 
+#![forbid(unsafe_code)]
+
 use bench::SEED;
 use ring_cache::LineAddr;
 use ring_coherence::ProtocolKind;

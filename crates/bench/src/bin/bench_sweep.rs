@@ -15,10 +15,12 @@
 //!             [--check-determinism]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use bench::sweep::{
-    compare, default_grid, parse_bench_json, parse_bench_schema, run_sweep_workers,
+    compare, default_grid, parse_bench_json, parse_bench_schema, run_sweep_repeat,
     write_bench_json, Comparison, BENCH_SCHEMA,
 };
 use ring_coherence::ProtocolVariant;
@@ -34,7 +36,6 @@ struct Args {
     grids: Vec<(usize, usize)>,
     protocols: Vec<ProtocolVariant>,
     threads: usize,
-    workers: usize,
     repeat: usize,
     out: String,
     note: String,
@@ -56,7 +57,6 @@ impl Default for Args {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            workers: 1,
             repeat: 1,
             out: "BENCH_machine.json".into(),
             note: "perf sweep".into(),
@@ -71,14 +71,12 @@ impl Default for Args {
 
 const USAGE: &str = "usage: bench_sweep [--apps A,B] [--seeds S1,S2] [--ops N] [--grids 4x4,8x8]
                    [--protocols eager,uncorq] [--threads N] [--serial]
-                   [--workers N] [--repeat N] [--out FILE] [--note TEXT]
-                   [--baseline FILE] [--tolerance FRACTION]
-                   [--check-determinism] [--profile] [--profile-out PREFIX]
+                   [--repeat N] [--out FILE] [--note TEXT] [--baseline FILE]
+                   [--tolerance FRACTION] [--check-determinism]
+                   [--profile] [--profile-out PREFIX]
 
---threads fans independent cells out across OS threads; --workers runs
-each machine on the in-engine conservative-PDES parallel engine with N
-total threads (1 = serial engine). Both are digest-neutral; workers is
-recorded per row and keys baseline matching.
+--threads fans independent cells out across OS threads (digest-neutral:
+every cell owns its machine and runs on the serial event loop).
 
 --profile re-runs each cell serially after the timed sweep with a
 flight recorder installed (so wall-clock numbers stay clean) and writes
@@ -132,11 +130,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
                     .map_err(|e| format!("--threads: {e}"))?
             }
             "--serial" => a.threads = 1,
-            "--workers" => {
-                a.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
             "--repeat" => {
                 a.repeat = value("--repeat")?
                     .parse()
@@ -174,21 +167,19 @@ fn main() -> ExitCode {
     let mut cells = default_grid(&args.apps, &args.seeds, args.ops, &args.grids);
     cells.retain(|c| args.protocols.contains(&c.variant));
     eprintln!(
-        "sweep: {} cells ({} apps x {} seeds x {} grids x {} protocols), \
-         {} threads, {} engine workers",
+        "sweep: {} cells ({} apps x {} seeds x {} grids x {} protocols), {} threads",
         cells.len(),
         args.apps.len(),
         args.seeds.len(),
         args.grids.len(),
         args.protocols.len(),
-        args.threads,
-        args.workers.max(1)
+        args.threads
     );
-    let results = run_sweep_workers(&cells, args.threads, args.repeat, args.workers);
+    let results = run_sweep_repeat(&cells, args.threads, args.repeat);
 
     if args.check_determinism {
         eprintln!("re-running serially to verify parallel determinism...");
-        let serial = run_sweep_workers(&cells, 1, 1, 1);
+        let serial = run_sweep_repeat(&cells, 1, 1);
         for (p, s) in results.iter().zip(&serial) {
             if p.determinism_key() != s.determinism_key() {
                 eprintln!(
@@ -231,10 +222,7 @@ fn main() -> ExitCode {
     ]);
     for r in &results {
         t.row(vec![
-            format!(
-                "{}/{}n/{}@{}x{}w",
-                r.protocol, r.nodes, r.app, r.seed, r.workers
-            ),
+            format!("{}/{}n/{}@{}", r.protocol, r.nodes, r.app, r.seed),
             format!("{}", r.exec_cycles),
             format!("{}", r.events),
             format!("{}", r.peak_queue),

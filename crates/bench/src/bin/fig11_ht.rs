@@ -8,6 +8,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig11_ht`
 
+#![forbid(unsafe_code)]
+
 use bench::paper::{paper_row, SPLASH2_AVERAGE};
 use bench::{maybe_fast, run_cell, Proto, SEED};
 use ring_coherence::ProtocolKind;

@@ -6,6 +6,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig5_anatomy [app]`
 
+#![forbid(unsafe_code)]
+
 use bench::{maybe_fast, run_cell, Proto, SEED};
 use ring_coherence::ProtocolKind;
 use ring_stats::{Align, Table};

@@ -7,6 +7,8 @@
 //! Set `UNCORQ_CSV_DIR=<dir>` to also write plottable CSVs
 //! (`fig8a_<app>.csv`, `fig8b_<app>.csv`).
 
+#![forbid(unsafe_code)]
+
 use bench::{maybe_fast, run_cell, Proto, SEED};
 use ring_coherence::ProtocolKind;
 use ring_workloads::AppProfile;

@@ -8,6 +8,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig9_exec_time`
 
+#![forbid(unsafe_code)]
+
 use bench::paper::{EXEC_IMPROVEMENT_SPECJBB, EXEC_IMPROVEMENT_SPECWEB, EXEC_IMPROVEMENT_SPLASH};
 use bench::{maybe_fast, run_cell, Proto, SEED};
 use ring_stats::{Align, Table};

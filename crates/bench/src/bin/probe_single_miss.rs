@@ -5,6 +5,8 @@
 //! (worst-case burst contention).
 //! Probe 3: one cache-to-cache transfer at varying ring distance.
 
+#![forbid(unsafe_code)]
+
 use ring_cache::{LineAddr, LineState};
 use ring_coherence::ProtocolKind;
 use ring_cpu::Op;

@@ -9,6 +9,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin sweep_scale [app]`
 
+#![forbid(unsafe_code)]
+
 use bench::{maybe_fast, SEED};
 use ring_coherence::ProtocolKind;
 use ring_stats::{Align, Table};

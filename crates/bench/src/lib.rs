@@ -6,6 +6,8 @@
 //! See EXPERIMENTS.md at the workspace root for the experiment index and
 //! recorded paper-vs-measured results.
 
+#![forbid(unsafe_code)]
+
 pub mod paper;
 pub mod sweep;
 

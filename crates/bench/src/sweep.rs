@@ -110,11 +110,6 @@ pub struct CellResult {
     pub seed: u64,
     /// Per-core operation count.
     pub ops: u64,
-    /// Total OS threads the *simulation engine* ran on (1 = serial
-    /// engine; >1 = conservative-PDES parallel engine with `workers-1`
-    /// phase-A workers). Orthogonal to the sweep-level thread fan-out:
-    /// that parallelizes across cells, this parallelizes inside one.
-    pub workers: usize,
     /// Whether every core ran to completion.
     pub finished: bool,
     /// Execution time of the simulated machine, in cycles.
@@ -138,10 +133,8 @@ pub struct CellResult {
 
 impl CellResult {
     /// Every deterministic field — everything except the wall-clock
-    /// measurements *and the worker count*. Serial and parallel sweeps
-    /// of the same grid must produce identical keys, in the same
-    /// order, and the parallel engine's whole contract is that the
-    /// worker count is unobservable.
+    /// measurements. Serial and parallel sweeps of the same grid must
+    /// produce identical keys, in the same order.
     pub fn determinism_key(&self) -> String {
         format!(
             "{}/{}/{}/{}/{}/{}/{}/{}/{}/{:016x}",
@@ -165,24 +158,16 @@ pub fn run_cell(cell: &SweepCell) -> CellResult {
     run_cell_repeat(cell, 1)
 }
 
-/// [`run_cell`] on the serial engine with best-of-`repeat` timing.
-pub fn run_cell_repeat(cell: &SweepCell, repeat: usize) -> CellResult {
-    run_cell_workers(cell, repeat, 1)
-}
-
-/// Runs the cell `repeat` times on `workers` total engine threads
-/// (`<= 1` = serial engine, `> 1` = the conservative-PDES parallel
-/// engine) and keeps the best (smallest) wall time — the standard
-/// guard against scheduler noise on shared machines. Every repeat must
-/// produce an identical report digest (they are the same deterministic
-/// simulation), which doubles as a free determinism check — and
-/// because the parallel engine is digest-identical to serial, the same
-/// check catches any engine divergence.
+/// Like [`run_cell`], but runs the cell `repeat` times and keeps the
+/// best (smallest) wall time — the standard guard against scheduler
+/// noise on shared machines. Every repeat must produce an identical
+/// report digest (they are the same deterministic simulation), which
+/// doubles as a free determinism check.
 ///
 /// # Panics
 ///
 /// Panics if two repeats disagree on the report digest.
-pub fn run_cell_workers(cell: &SweepCell, repeat: usize, workers: usize) -> CellResult {
+pub fn run_cell_repeat(cell: &SweepCell, repeat: usize) -> CellResult {
     let profile = AppProfile::by_name(&cell.app)
         .unwrap_or_else(|| panic!("unknown app profile {}", cell.app))
         .scaled(cell.ops);
@@ -191,11 +176,7 @@ pub fn run_cell_workers(cell: &SweepCell, repeat: usize, workers: usize) -> Cell
     for _ in 0..repeat.max(1) {
         let mut m = Machine::new(cell.config(), &profile);
         let start = Instant::now();
-        let report = if workers > 1 {
-            m.run_parallel(workers)
-        } else {
-            m.run()
-        };
+        let report = m.run();
         let w = start.elapsed().as_secs_f64();
         if let Some((prev, _)) = &best {
             assert_eq!(
@@ -219,7 +200,6 @@ pub fn run_cell_workers(cell: &SweepCell, repeat: usize, workers: usize) -> Cell
         app: cell.app.clone(),
         seed: cell.seed,
         ops: cell.ops,
-        workers: workers.max(1),
         finished: report.finished,
         exec_cycles: report.exec_cycles,
         events,
@@ -248,24 +228,8 @@ pub fn run_sweep(cells: &[SweepCell], threads: usize) -> Vec<CellResult> {
 /// [`run_sweep`] with per-cell best-of-`repeat` timing (see
 /// [`run_cell_repeat`]).
 pub fn run_sweep_repeat(cells: &[SweepCell], threads: usize, repeat: usize) -> Vec<CellResult> {
-    run_sweep_workers(cells, threads, repeat, 1)
-}
-
-/// [`run_sweep_repeat`] with each cell itself running on `workers`
-/// engine threads (see [`run_cell_workers`]). Cross-cell fan-out
-/// (`threads`) and in-cell parallelism (`workers`) compose, but for
-/// clean wall-clock numbers use one or the other, not both.
-pub fn run_sweep_workers(
-    cells: &[SweepCell],
-    threads: usize,
-    repeat: usize,
-    workers: usize,
-) -> Vec<CellResult> {
     if threads <= 1 || cells.len() <= 1 {
-        return cells
-            .iter()
-            .map(|c| run_cell_workers(c, repeat, workers))
-            .collect();
+        return cells.iter().map(|c| run_cell_repeat(c, repeat)).collect();
     }
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, CellResult)>();
@@ -280,7 +244,7 @@ pub fn run_sweep_workers(
                 }
                 // A worker panicking (bad cell) drops `tx`; the
                 // collector below then reports the missing cell.
-                let _ = tx.send((i, run_cell_workers(&cells[i], repeat, workers)));
+                let _ = tx.send((i, run_cell_repeat(&cells[i], repeat)));
             });
         }
         drop(tx);
@@ -365,9 +329,6 @@ pub struct BaselineRow {
     pub seed: u64,
     /// Per-core operation count.
     pub ops: u64,
-    /// Engine thread count the row was recorded at (1 when the
-    /// baseline predates the parallel engine and has no field).
-    pub workers: usize,
     /// Recorded throughput.
     pub events_per_sec: f64,
 }
@@ -386,10 +347,7 @@ pub struct Comparison {
 }
 
 /// Matches fresh results against baseline rows by
-/// `(protocol, nodes, app, seed, ops, workers)` and computes
-/// throughput ratios. Worker counts must match because serial and
-/// parallel-engine rows measure different things — a 4-worker row is
-/// never a regression gate for a serial run or vice versa.
+/// `(protocol, nodes, app, seed, ops)` and computes throughput ratios.
 pub fn compare(results: &[CellResult], baseline: &[BaselineRow], path: &str) -> Comparison {
     let mut matched = Vec::new();
     let mut unmatched = Vec::new();
@@ -401,12 +359,8 @@ pub fn compare(results: &[CellResult], baseline: &[BaselineRow], path: &str) -> 
                 && b.app == r.app
                 && b.seed == r.seed
                 && b.ops == r.ops
-                && b.workers == r.workers
         });
-        let key = format!(
-            "{}/{}n/{}@{}x{}w",
-            r.protocol, r.nodes, r.app, r.seed, r.workers
-        );
+        let key = format!("{}/{}n/{}@{}", r.protocol, r.nodes, r.app, r.seed);
         match hit {
             Some(b) if b.events_per_sec > 0.0 => {
                 let ratio = r.events_per_sec / b.events_per_sec;
@@ -435,7 +389,7 @@ fn write_row<W: Write>(w: &mut W, r: &CellResult, last: bool) -> io::Result<()> 
     writeln!(
         w,
         "    {{\"protocol\": \"{}\", \"nodes\": {}, \"app\": \"{}\", \"seed\": {}, \
-         \"ops\": {}, \"workers\": {}, \"finished\": {}, \"exec_cycles\": {}, \"events\": {}, \
+         \"ops\": {}, \"finished\": {}, \"exec_cycles\": {}, \"events\": {}, \
          \"peak_queue\": {}, \"wall_secs\": {:.4}, \"events_per_sec\": {:.0}, \
          \"lat_p50\": {}, \"lat_p99\": {}, \"digest\": \"{:016x}\"}}{}",
         json_escape(&r.protocol),
@@ -443,7 +397,6 @@ fn write_row<W: Write>(w: &mut W, r: &CellResult, last: bool) -> io::Result<()> 
         json_escape(&r.app),
         r.seed,
         r.ops,
-        r.workers,
         r.finished,
         r.exec_cycles,
         r.events,
@@ -541,18 +494,12 @@ pub fn parse_bench_json(text: &str) -> Vec<BaselineRow> {
         else {
             continue;
         };
-        // Rows written before the parallel engine carry no "workers"
-        // field; they were all serial-engine measurements.
-        let workers = json_field(t, "workers")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
         rows.push(BaselineRow {
             protocol: protocol.to_string(),
             nodes,
             app: app.to_string(),
             seed,
             ops,
-            workers,
             events_per_sec,
         });
     }
@@ -701,7 +648,6 @@ mod tests {
             app: rows[0].app.clone(),
             seed: rows[0].seed,
             ops: rows[0].ops,
-            workers: rows[0].workers,
             events_per_sec: rows[0].events_per_sec,
         }];
         let cmp = compare(&rows, &baseline, "b.json");
@@ -745,26 +691,24 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].protocol, "uncorq");
         assert!((rows[0].events_per_sec - 50.0).abs() < 1e-9);
-        // Pre-parallel-engine rows were all serial measurements.
-        assert_eq!(rows[0].workers, 1);
     }
 
+    /// The committed record predates the removal of the per-row
+    /// `"workers"` key; its rows must still load as baselines.
     #[test]
-    fn worker_count_is_unobservable_in_cell_digests() {
-        let cell = &tiny_cells()[0];
-        let serial = run_cell_workers(cell, 1, 1);
-        let par = run_cell_workers(cell, 1, 3);
-        assert_eq!(par.workers, 3);
-        assert_eq!(par.digest, serial.digest);
-        assert_eq!(par.determinism_key(), serial.determinism_key());
-        // But workers *do* key baseline matching: a serial baseline
-        // must not gate a parallel measurement.
-        let mut buf = Vec::new();
-        write_bench_json(&mut buf, "b", 1, &[serial], None).unwrap();
-        let baseline = parse_bench_json(&String::from_utf8(buf).unwrap());
-        let cmp = compare(&[par], &baseline, "b.json");
-        assert!(cmp.matched.is_empty());
-        assert_eq!(cmp.unmatched.len(), 1);
+    fn committed_rows_with_a_workers_key_still_parse() {
+        let text = include_str!("../../../results/BENCH_machine.json");
+        let row = text
+            .lines()
+            .find(|l| l.contains("\"workers\": 1"))
+            .expect("the committed record carries workers keys");
+        let parsed = parse_bench_json(row);
+        assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed[0].protocol, "eager");
+        assert_eq!((parsed[0].nodes, parsed[0].seed), (16, 2007));
+        assert_eq!(parsed[0].ops, 20_000);
+        assert!(parsed[0].events_per_sec > 0.0);
+        assert_eq!(parse_bench_json(text).len(), 10);
     }
 
     #[test]

@@ -36,14 +36,8 @@ fn ops_for(nodes: usize) -> u64 {
 }
 
 /// `(report digest, trace digest, trace events)` of one run, with the
-/// full trace stream enabled. `threads <= 1` runs the serial engine;
-/// otherwise the conservative-PDES parallel engine.
-fn digest_cell_at(
-    variant: ProtocolVariant,
-    width: usize,
-    height: usize,
-    threads: usize,
-) -> (u64, u64, u64) {
+/// full trace stream enabled.
+fn digest_cell(variant: ProtocolVariant, width: usize, height: usize) -> (u64, u64, u64) {
     let mut cfg = MachineConfig::with_protocol(variant.config());
     cfg.width = width;
     cfg.height = height;
@@ -54,25 +48,13 @@ fn digest_cell_at(
     let mut m = Machine::new(cfg, &profile);
     let sink = DigestSink::new();
     m.set_trace_sink(Box::new(sink.clone()));
-    let run = if threads <= 1 {
-        m.try_run()
-    } else {
-        m.try_run_parallel(threads)
-    };
-    let r = match run {
+    let r = match m.try_run() {
         Ok(r) => r,
-        Err(stall) => panic!("{variant} {width}x{height} x{threads}t stalled:\n{stall}"),
+        Err(stall) => panic!("{variant} {width}x{height} stalled:\n{stall}"),
     };
-    assert!(
-        r.finished,
-        "{variant} {width}x{height} x{threads}t hit the cycle cap"
-    );
+    assert!(r.finished, "{variant} {width}x{height} hit the cycle cap");
     let (trace_digest, trace_events) = sink.digest();
     (report_digest(&r), trace_digest, trace_events)
-}
-
-fn digest_cell(variant: ProtocolVariant, width: usize, height: usize) -> (u64, u64, u64) {
-    digest_cell_at(variant, width, height, 1)
 }
 
 /// `(variant, width, height, report digest, trace digest, trace events)`
@@ -411,27 +393,6 @@ fn crash_recovery_is_byte_identical_under_chaos_and_loss() {
                 cfg.reliability = ReliabilityConfig::on();
             }
             assert_crash_recovery_identical(cfg, &format!("{variant:?}-{profile_name}"));
-        }
-    }
-}
-
-/// The conservative-PDES parallel engine reproduces every golden cell
-/// byte-for-byte at 2 and 4 total threads — all 10 `(variant, grid)`
-/// cells, including the paper-scale 64-node grid, hit the *same*
-/// digests as the serial (and pre-optimization) engine. Worker count
-/// is unobservable.
-#[test]
-fn parallel_engine_reproduces_golden_digests() {
-    for &(variant, w, h, report, trace, events) in GOLDEN {
-        for threads in [2usize, 4] {
-            let (r, t, n) = digest_cell_at(variant, w, h, threads);
-            assert_eq!(
-                (r, t, n),
-                (report, trace, events),
-                "{variant} at {w}x{h} with {threads} threads: parallel engine \
-                 diverged from golden (report {r:#018x} vs {report:#018x}, \
-                 trace {t:#018x} vs {trace:#018x}, {n} vs {events} events)"
-            );
         }
     }
 }

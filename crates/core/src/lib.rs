@@ -47,6 +47,7 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod agent;
 pub mod config;

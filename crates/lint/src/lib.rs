@@ -26,6 +26,7 @@
 //! report ([`report`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod allow;
 pub mod bounds;

@@ -17,7 +17,8 @@ pub enum Origin {
     /// Library code of a simulator crate (`crates/*/src`, the umbrella
     /// `src/lib.rs`): deterministic-path rules apply in full.
     SimPath,
-    /// The perf harness (`crates/bench`): wall-clock reads are its job.
+    /// The perf harnesses (`crates/bench`, the `perfbench/` benchmark):
+    /// wall-clock reads are their job.
     Harness,
     /// Binary frontends (`src/bin`, `src/main.rs`): wall clock allowed
     /// (progress reporting), entropy still banned.
@@ -73,7 +74,7 @@ impl SourceFile {
             || rel.contains("/examples/")
         {
             Origin::Test
-        } else if crate_name == "bench" {
+        } else if crate_name == "bench" || rel.starts_with("perfbench/") {
             Origin::Harness
         } else if crate_name == "server" {
             Origin::Service
@@ -169,6 +170,8 @@ mod tests {
             classify("crates/bench/src/bin/bench_sweep.rs"),
             Origin::Harness
         );
+        assert_eq!(classify("perfbench/src/cell.rs"), Origin::Harness);
+        assert_eq!(classify("perfbench/src/main.rs"), Origin::Harness);
         assert_eq!(classify("src/bin/ringlint.rs"), Origin::Cli);
         assert_eq!(classify("src/main.rs"), Origin::Cli);
         assert_eq!(classify("crates/server/src/daemon.rs"), Origin::Service);

@@ -84,21 +84,6 @@ pub struct NetworkConfig {
     pub model_contention: bool,
 }
 
-impl NetworkConfig {
-    /// Minimum cycles any *cross-node* delivery can take: one hop of
-    /// latency plus at least one serialization cycle (every message is at
-    /// least one byte, and `ceil(bytes / link_bytes_per_cycle) >= 1`).
-    /// Contention and fault jitter only ever add delay, so this is a
-    /// sound lower bound — the conservative-PDES lookahead.
-    ///
-    /// Same-node deliveries (`unicast` with `from == to`) bypass the
-    /// network entirely and can be zero-latency; only node-local work may
-    /// react inside a lookahead window.
-    pub fn min_cross_node_latency(&self) -> Cycle {
-        self.hop_cycles + 1
-    }
-}
-
 impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
@@ -316,24 +301,6 @@ impl Network {
 
     fn serialization(&self, bytes: u64) -> Cycle {
         bytes.div_ceil(self.cfg.link_bytes_per_cycle)
-    }
-
-    /// The minimum latency of any cross-node delivery this network can
-    /// ever produce: one hop plus at least one serialization cycle.
-    /// Contention, jitter, and congestion only ever *add* delay, and a
-    /// non-empty message serializes for at least one cycle, so every
-    /// delivery between distinct nodes arrives at least this many
-    /// cycles after its send.
-    ///
-    /// This is the conservative-PDES lookahead: a parallel engine that
-    /// synchronizes its logical processes every `w` cycles is race-free
-    /// for `w <= min_link_latency()`, because no event executed in the
-    /// current window can schedule a cross-node delivery *into* that
-    /// window. (Same-node deliveries can be zero-latency —
-    /// [`Network::unicast`] with `from == to` arrives immediately — so
-    /// only node-local work may react within the window.)
-    pub fn min_link_latency(&self) -> Cycle {
-        self.cfg.min_cross_node_latency()
     }
 
     /// Sends a `bytes`-sized message from `from` to `to` at cycle `now`
@@ -856,18 +823,6 @@ mod tests {
 
     fn net() -> Network {
         Network::new(Torus::new(8, 8), NetworkConfig::default())
-    }
-
-    #[test]
-    fn lookahead_lower_bounds_every_cross_node_delivery() {
-        // Default config: 8 cycles/hop + 1 serialization cycle.
-        assert_eq!(NetworkConfig::default().min_cross_node_latency(), 9);
-        let mut n = net();
-        let la = n.min_link_latency();
-        for to in 1..64usize {
-            let d = n.unicast(0, NodeId(0), NodeId(to), 64, CH);
-            assert!(d.arrival >= la, "node {to}: {} < {la}", d.arrival);
-        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! stderr and a nonzero exit, never a panic or a hang.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 use std::io::BufRead;
 use std::path::PathBuf;

@@ -12,6 +12,7 @@
 //! from its manifest and resumes from the newest valid snapshot.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -33,11 +33,14 @@ pub enum SpecError {
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SpecError::UnknownVariant(v) => write!(
-                f,
-                "unknown protocol variant `{v}` (expected one of eager, superset-con, \
-                 superset-agg, uncorq, uncorq-pref)"
-            ),
+            SpecError::UnknownVariant(v) => {
+                let names: Vec<&str> = ProtocolVariant::ALL.iter().map(|p| p.name()).collect();
+                write!(
+                    f,
+                    "unknown protocol variant `{v}` (expected one of {})",
+                    names.join(", ")
+                )
+            }
             SpecError::UnknownWorkload(w) => write!(f, "unknown workload profile `{w}`"),
             SpecError::BadField(name) => write!(f, "spec field `{name}` is malformed"),
             SpecError::Machine(e) => write!(f, "derived machine config invalid: {e}"),
@@ -289,6 +292,23 @@ mod tests {
         bad.variant = "uncorq".into();
         bad.workload = "nosuchapp".into();
         assert!(matches!(bad.build(), Err(SpecError::UnknownWorkload(_))));
+    }
+
+    #[test]
+    fn every_variant_the_error_lists_parses() {
+        let msg = SpecError::UnknownVariant("warp".into()).to_string();
+        let list = msg
+            .split_once("(expected one of ")
+            .and_then(|(_, rest)| rest.strip_suffix(')'))
+            .expect("the message lists the accepted names");
+        let names: Vec<&str> = list.split(", ").collect();
+        assert_eq!(names.len(), ProtocolVariant::ALL.len());
+        for name in names {
+            assert!(
+                ProtocolVariant::by_name(name).is_some(),
+                "listed name `{name}` does not parse"
+            );
+        }
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod fasthash;
-pub mod pdes;
 mod queue;
 mod rng;
 mod watchdog;

@@ -71,14 +71,6 @@ pub struct EventQueue<E> {
     now: Cycle,
     popped: u64,
     peak: usize,
-    /// Batch-drained events ([`EventQueue::drain_next_cycle`]) the
-    /// engine has not yet begun processing. A pop-by-pop loop would
-    /// still be holding them in the queue while processing earlier
-    /// same-cycle events, so peak tracking counts them as pending —
-    /// that keeps the high-water mark of a batched engine identical to
-    /// the serial one. Always 0 outside a batch (and in snapshots,
-    /// which are taken between batches).
-    in_flight: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -125,7 +117,6 @@ impl<E> EventQueue<E> {
             now: 0,
             popped: 0,
             peak: 0,
-            in_flight: 0,
         }
     }
 
@@ -157,7 +148,7 @@ impl<E> EventQueue<E> {
             self.seq += 1;
             self.heap.push(Reverse(Entry { time, seq, event }));
         }
-        self.peak = self.peak.max(self.len() + self.in_flight);
+        self.peak = self.peak.max(self.len());
     }
 
     /// Schedules `event` to fire `delay` cycles from the current time.
@@ -249,52 +240,6 @@ impl<E> EventQueue<E> {
         Some(self.take(key))
     }
 
-    /// Window-drain companion to [`pop_before`](Self::pop_before): pops
-    /// *every* event scheduled for the earliest pending cycle (if that
-    /// cycle is at most `cap`), appending them to `out` in exact pop
-    /// order, and returns the drained cycle. The clock and the
-    /// processed-event counter advance exactly as the equivalent
-    /// sequence of `pop_before` calls would — this is the batch-drain
-    /// primitive the parallel engine builds its per-cycle rounds on.
-    /// Each drained event is counted as *in flight* for peak-length
-    /// accounting until the caller marks it processed with
-    /// [`release_in_flight`](Self::release_in_flight): a pop-by-pop
-    /// engine still holds the later same-cycle events in the queue
-    /// while processing the earlier ones, and the peak high-water mark
-    /// must come out identical either way.
-    pub fn drain_next_cycle(&mut self, cap: Cycle, out: &mut Vec<E>) -> Option<Cycle> {
-        let first = self.next_key()?;
-        if first.time > cap {
-            return None;
-        }
-        let t = first.time;
-        out.push(self.take(first).1);
-        self.in_flight += 1;
-        while let Some(key) = self.next_key() {
-            if key.time != t {
-                break;
-            }
-            out.push(self.take(key).1);
-            self.in_flight += 1;
-        }
-        Some(t)
-    }
-
-    /// Marks one batch-drained event as processed: peak-length
-    /// accounting stops treating it as pending. Call exactly once per
-    /// event, immediately *before* processing it (a serial pop has
-    /// already removed the event from the queue when its handler runs).
-    pub fn release_in_flight(&mut self) {
-        debug_assert!(self.in_flight > 0, "release without a drained event");
-        self.in_flight = self.in_flight.saturating_sub(1);
-    }
-
-    /// Drops any remaining in-flight accounting, e.g. when a run aborts
-    /// mid-batch and the drained tail will never be processed.
-    pub fn clear_in_flight(&mut self) {
-        self.in_flight = 0;
-    }
-
     /// Time of the next event without popping it.
     pub fn peek_time(&self) -> Option<Cycle> {
         self.next_key().map(|k| k.time)
@@ -353,8 +298,7 @@ impl<E: Clone> EventQueue<E> {
     /// are copied, never the payloads or the queue structure. The old
     /// implementation deep-cloned the entire queue (payloads included)
     /// and popped the clone: an O(len) allocation spike on every
-    /// checkpoint, which a per-LP engine would multiply by one queue
-    /// per LP. The merge follows the pop rule exactly: earlier time
+    /// checkpoint. The merge follows the pop rule exactly: earlier time
     /// first, time ties to the heap (every heap entry at time `t` was
     /// scheduled strictly before any bucket entry at `t` could be).
     pub fn pending_in_order(&self) -> Vec<(Cycle, E)> {
@@ -675,83 +619,6 @@ mod tests {
     fn pending_walk_on_empty_queue() {
         let q: EventQueue<u8> = EventQueue::new();
         assert!(q.pending_in_order().is_empty());
-    }
-
-    #[test]
-    fn drain_next_cycle_matches_pop_before_sequence() {
-        let build = || {
-            let mut q = EventQueue::new();
-            q.schedule(5000, 900u64); // heap
-            q.schedule(4990, 1);
-            q.pop();
-            q.schedule(5000, 901); // bucket: pops after the heap twin
-            q.schedule(5000, 902);
-            q.schedule(5003, 903);
-            q
-        };
-        let mut a = build();
-        let mut b = build();
-        let mut batch = Vec::new();
-        assert_eq!(a.drain_next_cycle(6000, &mut batch), Some(5000));
-        let mut expect = Vec::new();
-        while let Some((t, e)) = b.pop_before(6000) {
-            if t != 5000 {
-                break;
-            }
-            expect.push(e);
-        }
-        assert_eq!(batch, expect);
-        assert_eq!(batch, vec![900, 901, 902]);
-        assert_eq!(a.now(), 5000);
-        assert_eq!(a.events_processed(), 1 + 3);
-        assert_eq!(a.len(), 1);
-        // Past the cap: untouched.
-        batch.clear();
-        assert_eq!(a.drain_next_cycle(5001, &mut batch), None);
-        assert!(batch.is_empty());
-        assert_eq!(a.drain_next_cycle(5003, &mut batch), Some(5003));
-        assert_eq!(batch, vec![903]);
-        assert_eq!(a.drain_next_cycle(Cycle::MAX, &mut batch), None);
-    }
-
-    /// A batched drain+release engine must report the exact peak length
-    /// a pop-by-pop engine would: drained-but-unprocessed events still
-    /// count as pending until released. The workload reschedules from
-    /// inside the "handler" so the peak is actually exercised mid-batch.
-    #[test]
-    fn in_flight_accounting_reproduces_serial_peak() {
-        let seed = |q: &mut EventQueue<u64>| {
-            for i in 0..8u64 {
-                q.schedule(10, i); // one fat cycle
-            }
-            q.schedule(20, 100);
-        };
-        // Handler: events < 50 schedule two follow-ups.
-        let fanout = |q: &mut EventQueue<u64>, t: Cycle, e: u64| {
-            if e < 50 {
-                q.schedule(t + 5, e + 50);
-                q.schedule(t + 9, e + 60);
-            }
-        };
-
-        let mut serial = EventQueue::new();
-        seed(&mut serial);
-        while let Some((t, e)) = serial.pop() {
-            fanout(&mut serial, t, e);
-        }
-
-        let mut batched = EventQueue::new();
-        seed(&mut batched);
-        let mut batch = Vec::new();
-        while let Some(t) = batched.drain_next_cycle(Cycle::MAX, &mut batch) {
-            for e in batch.drain(..) {
-                batched.release_in_flight();
-                fanout(&mut batched, t, e);
-            }
-        }
-
-        assert_eq!(batched.events_processed(), serial.events_processed());
-        assert_eq!(batched.peak_len(), serial.peak_len());
     }
 
     #[test]

@@ -41,6 +41,8 @@
 //! r.finish().unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod codec;
 mod error;
 mod file;

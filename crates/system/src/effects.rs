@@ -1,231 +1,27 @@
-//! Effect execution, factored out of the event loop.
+//! Effect execution: the half of [`Machine`] that turns one popped
+//! event into state changes.
 //!
-//! The serial loop ([`crate::Machine::try_run`]) and the parallel
-//! driver ([`crate::Machine::try_run_parallel`]) commit events through
-//! the exact same code: a [`Ctx`] borrows every piece of machine state
-//! an event handler can touch, with the per-node shards (cores and
-//! protocol agents) behind a [`NodeAccess`] that is either an exclusive
-//! borrow (serial) or a pointer-based shard view (parallel, where
-//! phase-A workers mutate *other* nodes concurrently under the round
-//! protocol of [`crate::par`]). One code path means the observable
-//! event order, trace stream, statistics, and digests cannot diverge
-//! between the two engines.
+//! [`Machine::try_run_slice`] pops events in `(time, seq)` order and
+//! hands each to [`Machine::dispatch`]. An agent-input event runs the
+//! node's protocol agent, drains the trace events it emitted, then
+//! applies its [`Effect`]s: routing over the network or the
+//! reliable-delivery sublayer, scheduling follow-up events, memory and
+//! prefetch traffic, statistics, and trace emission. A `Resume` event
+//! steps the node's core. Everything here runs on the one serial event
+//! loop, so the event order is the simulated order.
 
 use ring_cache::LineAddr;
-use ring_coherence::{AgentInput, Effect, RingAgent, TxnId, TxnKind, CONTROL_BYTES};
-use ring_cpu::{Core, L2View, NextStep};
-use ring_mem::{ControllerPrefetchPredictor, MemoryController, PrefetchBuffer};
+use ring_coherence::{AgentInput, Effect, TxnId, TxnKind, CONTROL_BYTES};
+use ring_cpu::{L2View, NextStep};
 use ring_noc::{
-    Channel, Delivery, DeliveryClass, FaultKind, InjectedFault, Network, OutageEvent, RelAction,
-    ReliableTransport, RingEmbedding,
+    Channel, DeliveryClass, FaultKind, InjectedFault, Network, RelAction, ReliableTransport,
 };
-use ring_sim::{Cycle, EventQueue, FxHashMap, Watchdog};
-use ring_trace::{
-    ErrorClass, EventKind as TraceKind, MetricsRegistry, Payload, TraceEvent, TraceSink,
-};
+use ring_sim::Cycle;
+use ring_trace::{ErrorClass, EventKind as TraceKind, Payload, TraceEvent};
 
-use crate::config::MachineConfig;
-use crate::machine::{fault_class, input_ids, op_class, AnatomyMark, Ev, RECENT_EVENTS};
+use crate::machine::{fault_class, input_ids, op_class, AnatomyMark, Ev, Machine, RECENT_EVENTS};
 
-/// Raw per-node shard pointers into the machine's core and agent
-/// arrays, for the parallel engine.
-///
-/// # Safety protocol
-///
-/// A `ShardPtrs` is only ever dereferenced under the round protocol of
-/// [`crate::par`]: at any instant, each node's core/agent pair is
-/// accessed by exactly one thread — the phase-A worker that owns the
-/// node's LP *or* the driver committing that node's event — with the
-/// hand-off ordered by Release/Acquire on the done flags and the
-/// applied cursor. The pointers are derived from live `&mut` borrows
-/// that outlast every dereference (the thread scope ends first).
-pub(crate) struct ShardPtrs {
-    cores: *mut Core,
-    agents: *mut RingAgent,
-    len: usize,
-}
-
-// Safety: see the struct-level protocol — all concurrent access is to
-// disjoint nodes, with cross-thread hand-offs fenced by the round
-// protocol's atomics.
-unsafe impl Send for ShardPtrs {}
-unsafe impl Sync for ShardPtrs {}
-
-impl ShardPtrs {
-    /// Captures shard pointers over the machine's node arrays. The
-    /// borrows this is called with must outlive every dereference (in
-    /// practice: the worker thread scope).
-    pub(crate) fn new(cores: &mut [Core], agents: &mut [RingAgent]) -> Self {
-        assert_eq!(cores.len(), agents.len());
-        ShardPtrs {
-            len: cores.len(),
-            cores: cores.as_mut_ptr(),
-            agents: agents.as_mut_ptr(),
-        }
-    }
-
-    /// Exclusive access to node `n`'s core and shared access to its
-    /// agent (the shape [`resume_compute`] needs).
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the round protocol's exclusive right to
-    /// node `n` (no other thread touches node `n` until released).
-    // The `&self -> &mut` projection is the whole point of the type:
-    // exclusivity comes from the round protocol, not the borrow checker.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn core_agent(&self, n: usize) -> (&mut Core, &RingAgent) {
-        assert!(n < self.len);
-        (&mut *self.cores.add(n), &*self.agents.add(n))
-    }
-
-    /// Exclusive access to node `n`'s agent.
-    ///
-    /// # Safety
-    ///
-    /// Same exclusive-right obligation as [`ShardPtrs::core_agent`].
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn agent_mut(&self, n: usize) -> &mut RingAgent {
-        assert!(n < self.len);
-        &mut *self.agents.add(n)
-    }
-}
-
-/// How a [`Ctx`] reaches per-node state: exclusively (serial engine,
-/// whole-machine borrows) or through shard pointers (parallel driver,
-/// which only ever touches the node whose event it is committing).
-pub(crate) enum NodeAccess<'a> {
-    /// The serial engine: plain exclusive borrows of both arrays.
-    Excl {
-        /// All cores.
-        cores: &'a mut [Core],
-        /// All agents.
-        agents: &'a mut [RingAgent],
-    },
-    /// The parallel driver's shard view. Only the node named in each
-    /// accessor call is touched, under the round protocol.
-    Shard(&'a ShardPtrs),
-}
-
-impl NodeAccess<'_> {
-    fn core_mut(&mut self, n: usize) -> &mut Core {
-        match self {
-            NodeAccess::Excl { cores, .. } => &mut cores[n],
-            // Safety: the driver holds node `n` exclusively while
-            // committing its event (workers on the same node wait for
-            // the applied cursor to pass it).
-            NodeAccess::Shard(p) => unsafe { &mut *(p.cores.add(n)) },
-        }
-    }
-
-    fn agent_mut(&mut self, n: usize) -> &mut RingAgent {
-        match self {
-            NodeAccess::Excl { agents, .. } => &mut agents[n],
-            // Safety: as in `core_mut`.
-            NodeAccess::Shard(p) => unsafe { p.agent_mut(n) },
-        }
-    }
-
-    fn agent(&self, n: usize) -> &RingAgent {
-        match self {
-            NodeAccess::Excl { agents, .. } => &agents[n],
-            // Safety: as in `core_mut` (exclusive right implies shared
-            // access is safe too).
-            NodeAccess::Shard(p) => unsafe { &*(p.agents.add(n)) },
-        }
-    }
-
-    fn core_agent(&mut self, n: usize) -> (&mut Core, &RingAgent) {
-        match self {
-            NodeAccess::Excl { cores, agents } => (&mut cores[n], &agents[n]),
-            // Safety: as in `core_mut`; core and agent of one node are
-            // covered by the same exclusive right.
-            NodeAccess::Shard(p) => unsafe { p.core_agent(n) },
-        }
-    }
-
-    /// Whole-machine agent scan — only the serial engine may do this
-    /// (the parallel engine falls back to serial when invariant
-    /// checking, the one consumer, is enabled).
-    fn all_agents(&self) -> &[RingAgent] {
-        match self {
-            NodeAccess::Excl { agents, .. } => agents,
-            NodeAccess::Shard(_) => {
-                unreachable!("whole-machine agent scans run on the serial engine only")
-            }
-        }
-    }
-}
-
-/// Phase-A result of a `Resume` event: the node-local core step,
-/// computed without touching any shared machine state. Committing it
-/// ([`Ctx::resume_commit`]) is where scheduling and bookkeeping happen.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ResumeStep {
-    /// The core had already finished (drained its last stores).
-    Done,
-    /// The core is blocked; nothing to do.
-    Blocked,
-    /// The core advanced and asks for this next step.
-    Step(NextStep),
-}
-
-/// Advances node `n`'s core by one scheduling step. Touches only that
-/// node's core (mutably) and agent (read-only): safe for a phase-A
-/// worker that owns the node's LP.
-pub(crate) fn resume_compute(core: &mut Core, agent: &RingAgent, slice: u64) -> ResumeStep {
-    if core.is_finished() {
-        // A core that drained its last stores finishes here rather
-        // than through a Finished step.
-        return ResumeStep::Done;
-    }
-    if core.is_blocked() {
-        return ResumeStep::Blocked;
-    }
-    let step = core.next(slice, |line| {
-        if agent.is_line_engaged(line) {
-            L2View::Outstanding
-        } else {
-            let state = agent.l2().state(line);
-            if state.can_write_silently() {
-                L2View::HitSilent
-            } else if state.is_valid() {
-                L2View::HitNeedsOwnership
-            } else {
-                L2View::Miss
-            }
-        }
-    });
-    ResumeStep::Step(step)
-}
-
-/// Everything an event handler can touch, borrowed out of the machine.
-/// See the module docs for why this exists.
-pub(crate) struct Ctx<'a> {
-    pub cfg: &'a MachineConfig,
-    pub queue: &'a mut EventQueue<Ev>,
-    pub net: &'a mut Network,
-    pub rings: &'a [RingEmbedding],
-    pub nodes: NodeAccess<'a>,
-    pub mem: &'a mut MemoryController,
-    pub cpp: &'a mut ControllerPrefetchPredictor,
-    pub pbufs: &'a mut [PrefetchBuffer],
-    pub finish_time: &'a mut [Option<Cycle>],
-    pub stats: &'a mut crate::stats::MachineStats,
-    pub registry: &'a mut MetricsRegistry,
-    pub anatomy_marks: &'a mut FxHashMap<(usize, u64), AnatomyMark>,
-    pub mc_buf: &'a mut Vec<Delivery>,
-    pub trace: &'a mut std::collections::BTreeMap<LineAddr, Vec<TraceEvent>>,
-    pub sink: &'a mut Option<Box<dyn TraceSink>>,
-    pub trace_enabled: bool,
-    pub watchdog: &'a mut Watchdog,
-    pub recent: &'a mut std::collections::VecDeque<TraceEvent>,
-    pub rel: &'a mut Option<ReliableTransport<AgentInput>>,
-    pub rel_buf: &'a mut Vec<RelAction<AgentInput>>,
-    pub outage_buf: &'a mut Vec<OutageEvent>,
-}
-
-impl Ctx<'_> {
+impl Machine {
     fn node(&self, n: usize) -> ring_noc::NodeId {
         ring_noc::NodeId(n)
     }
@@ -238,11 +34,11 @@ impl Ctx<'_> {
     /// Moves the events the agent emitted during its last `handle` into
     /// the sink and the per-line traces. The event queue pops in time
     /// order, so emission order is chronological.
-    pub(crate) fn drain_agent_trace(&mut self, n: usize) {
+    fn drain_agent_trace(&mut self, n: usize) {
         if !self.trace_enabled {
             return;
         }
-        for ev in self.nodes.agent_mut(n).drain_trace() {
+        for ev in self.agents[n].drain_trace() {
             self.emit(ev);
         }
     }
@@ -285,7 +81,7 @@ impl Ctx<'_> {
     /// Runs one reliable-transport callback with the transport
     /// temporarily moved out (it needs `&mut Network` at the same
     /// time), then applies the resulting actions.
-    pub(crate) fn rel_event(
+    fn rel_event(
         &mut self,
         t: Cycle,
         f: impl FnOnce(
@@ -297,12 +93,12 @@ impl Ctx<'_> {
         let Some(mut rel) = self.rel.take() else {
             return;
         };
-        let mut acts = std::mem::take(self.rel_buf);
+        let mut acts = std::mem::take(&mut self.rel_buf);
         acts.clear();
-        f(&mut rel, self.net, &mut acts);
-        *self.rel = Some(rel);
+        f(&mut rel, &mut self.net, &mut acts);
+        self.rel = Some(rel);
         self.process_rel_actions(t, &mut acts);
-        *self.rel_buf = acts;
+        self.rel_buf = acts;
     }
 
     /// Applies the actions a reliable-transport call produced:
@@ -403,7 +199,7 @@ impl Ctx<'_> {
     /// Surfaces link outage transitions the network observed since the
     /// last reliable-transport call as `LinkDown`/`LinkUp` trace events.
     fn drain_outages(&mut self, t: Cycle) {
-        let mut buf = std::mem::take(self.outage_buf);
+        let mut buf = std::mem::take(&mut self.outage_buf);
         self.net.take_outage_events(&mut buf);
         if self.trace_enabled {
             for oe in buf.drain(..) {
@@ -429,35 +225,36 @@ impl Ctx<'_> {
         } else {
             buf.clear();
         }
-        *self.outage_buf = buf;
+        self.outage_buf = buf;
     }
 
-    /// Serial-engine `Resume` handling: compute the core step in place,
-    /// then commit it.
-    pub(crate) fn resume(&mut self, t: Cycle, n: usize) {
-        let slice = self.cfg.core_slice;
-        let step = {
-            let (core, agent) = self.nodes.core_agent(n);
-            resume_compute(core, agent, slice)
-        };
-        self.resume_commit(t, n, step);
-    }
-
-    /// Commits a computed [`ResumeStep`]: scheduling, watchdog feeding,
-    /// finish-time recording, and write issue — everything that touches
-    /// shared machine state.
-    pub(crate) fn resume_commit(&mut self, t: Cycle, n: usize, step: ResumeStep) {
-        let step = match step {
-            ResumeStep::Done => {
-                if self.finish_time[n].is_none() {
-                    self.finish_time[n] = Some(t);
-                    self.watchdog.progress(t);
+    /// Advances node `n`'s core by one scheduling step and schedules
+    /// whatever the step asks for.
+    fn resume(&mut self, t: Cycle, n: usize) {
+        if self.cores[n].is_finished() {
+            // A core that drained its last stores finishes here rather
+            // than through a Finished step.
+            self.core_finished(t, n);
+            return;
+        }
+        if self.cores[n].is_blocked() {
+            return;
+        }
+        let agent = &self.agents[n];
+        let step = self.cores[n].next(self.cfg.core_slice, |line| {
+            if agent.is_line_engaged(line) {
+                L2View::Outstanding
+            } else {
+                let state = agent.l2().state(line);
+                if state.can_write_silently() {
+                    L2View::HitSilent
+                } else if state.is_valid() {
+                    L2View::HitNeedsOwnership
+                } else {
+                    L2View::Miss
                 }
-                return;
             }
-            ResumeStep::Blocked => return,
-            ResumeStep::Step(s) => s,
-        };
+        });
         match step {
             NextStep::Advance { cycles } => {
                 self.watchdog.progress(t);
@@ -482,18 +279,21 @@ impl Ctx<'_> {
             NextStep::BlockedStores { .. } => {
                 // Resumed by write_complete.
             }
-            NextStep::Finished => {
-                if self.finish_time[n].is_none() {
-                    self.finish_time[n] = Some(t);
-                    self.watchdog.progress(t);
-                }
-            }
+            NextStep::Finished => self.core_finished(t, n),
+        }
+    }
+
+    /// Records node `n`'s finish time (first finish only).
+    fn core_finished(&mut self, t: Cycle, n: usize) {
+        if self.finish_time[n].is_none() {
+            self.finish_time[n] = Some(t);
+            self.watchdog.progress(t);
         }
     }
 
     /// Issues (or locally absorbs) a write transaction for `line`.
     fn issue_write(&mut self, t: Cycle, n: usize, line: LineAddr) {
-        match self.nodes.agent(n).classify_store(line) {
+        match self.agents[n].classify_store(line) {
             Some(kind) => {
                 self.queue
                     .schedule(t, Ev::Agent(n, AgentInput::CoreRequest { line, kind }));
@@ -507,7 +307,7 @@ impl Ctx<'_> {
     }
 
     fn write_completed(&mut self, t: Cycle, n: usize, line: LineAddr) {
-        let (pending, unblocked) = self.nodes.core_mut(n).write_complete(line);
+        let (pending, unblocked) = self.cores[n].write_complete(line);
         if let Some(pl) = pending {
             self.issue_write(t, n, pl);
         }
@@ -518,7 +318,7 @@ impl Ctx<'_> {
 
     /// Applies the effects in `fx`, draining it (the buffer is reused
     /// across events). Never calls back into agent handling.
-    pub(crate) fn apply_effects(&mut self, t: Cycle, n: usize, fx: &mut Vec<Effect>) {
+    fn apply_effects(&mut self, t: Cycle, n: usize, fx: &mut Vec<Effect>) {
         for e in fx.drain(..) {
             match e {
                 Effect::RingSend { msg, delay } => {
@@ -620,7 +420,7 @@ impl Ctx<'_> {
                         },
                     );
                     if self.rel.is_some() {
-                        let mut ds = std::mem::take(self.mc_buf);
+                        let mut ds = std::mem::take(&mut self.mc_buf);
                         let root = self.node(n);
                         let mut tree_err = None;
                         self.rel_event(t, |rel, net, acts| {
@@ -638,7 +438,7 @@ impl Ctx<'_> {
                             }
                         });
                         ds.clear();
-                        *self.mc_buf = ds;
+                        self.mc_buf = ds;
                         if let Some(noc_err) = tree_err {
                             eprintln!("multicast from node {n} at cycle {t} failed: {noc_err}");
                             self.emit(TraceEvent {
@@ -654,7 +454,7 @@ impl Ctx<'_> {
                         }
                         continue;
                     }
-                    let mut ds = std::mem::take(self.mc_buf);
+                    let mut ds = std::mem::take(&mut self.mc_buf);
                     match self.net.multicast_into(
                         t,
                         self.node(n),
@@ -711,7 +511,7 @@ impl Ctx<'_> {
                             });
                         }
                     }
-                    *self.mc_buf = ds;
+                    self.mc_buf = ds;
                 }
                 Effect::SendSupplier { to, msg } => {
                     self.registry.node_mut(n).supplies += 1;
@@ -834,7 +634,7 @@ impl Ctx<'_> {
                     self.cpp.mark_written_back(line);
                 }
                 Effect::L1Invalidate { line } => {
-                    self.nodes.core_mut(n).l1_invalidate(line);
+                    self.cores[n].l1_invalidate(line);
                 }
                 Effect::Bound {
                     line,
@@ -855,7 +655,7 @@ impl Ctx<'_> {
                         self.registry
                             .node_mut(n)
                             .record_read_bound(latency + self.cfg.l1.latency, c2c);
-                        if self.nodes.core_mut(n).read_done(line) {
+                        if self.cores[n].read_done(line) {
                             self.queue.schedule(t, Ev::Resume(n));
                         }
                     }
@@ -943,9 +743,6 @@ impl Ctx<'_> {
     /// which the protocol handles via the memory path, so only the
     /// single-supplier half is asserted).
     ///
-    /// Scans every agent, so it only runs on the serial engine (the
-    /// parallel engine falls back to serial under `check_invariants`).
-    ///
     /// # Panics
     ///
     /// Panics if two nodes simultaneously hold `line` in supplier states.
@@ -954,7 +751,7 @@ impl Ctx<'_> {
         // logically dead supplier-state copy (the paper defers its
         // invalidation until the transaction loses), and it snoops
         // negative meanwhile -- so only settled copies count.
-        let agents = self.nodes.all_agents();
+        let agents = &self.agents;
         let suppliers: Vec<usize> = agents
             .iter()
             .enumerate()
@@ -991,9 +788,8 @@ impl Ctx<'_> {
         }
     }
 
-    /// Dispatches one popped event exactly as the serial engine always
-    /// has. `fx` is the machine's reusable effect buffer.
-    pub(crate) fn dispatch(&mut self, t: Cycle, ev: Ev, fx: &mut Vec<Effect>) {
+    /// Dispatches one popped event.
+    pub(crate) fn dispatch(&mut self, t: Cycle, ev: Ev) {
         match ev {
             Ev::Resume(n) => self.resume(t, n),
             Ev::RelWire(frame) => {
@@ -1005,28 +801,24 @@ impl Ctx<'_> {
             Ev::RelAck(flow) => {
                 self.rel_event(t, |rel, net, acts| rel.on_ack_timer(net, t, flow, acts));
             }
-            Ev::Agent(n, input) => self.handle_agent_event(t, n, input, fx),
-            Ev::MemDone(n, line) => {
-                self.handle_agent_event(t, n, AgentInput::MemData { line }, fx);
-            }
+            Ev::Agent(n, input) => self.handle_agent_event(t, n, input),
+            Ev::MemDone(n, line) => self.handle_agent_event(t, n, AgentInput::MemData { line }),
         }
     }
 
-    /// Handles one agent-input event end to end on the serial engine:
-    /// agent handling, trace drain, effect application. `fx` is the
-    /// machine's reusable effect buffer, passed in to avoid aliasing.
-    pub(crate) fn handle_agent_event(
-        &mut self,
-        t: Cycle,
-        n: usize,
-        input: AgentInput,
-        fx: &mut Vec<Effect>,
-    ) {
+    /// Handles one agent-input event end to end: agent handling, trace
+    /// drain, effect application.
+    fn handle_agent_event(&mut self, t: Cycle, n: usize, input: AgentInput) {
+        // Reuse one effect buffer across all events; `apply_effects`
+        // drains it and never re-enters `handle`, so taking the buffer
+        // out of `self` is safe.
+        let mut fx = std::mem::take(&mut self.fx_buf);
         fx.clear();
-        self.nodes.agent_mut(n).handle_into(t, input, fx);
+        self.agents[n].handle_into(t, input, &mut fx);
         if self.trace_enabled {
             self.drain_agent_trace(n);
         }
-        self.apply_effects(t, n, fx);
+        self.apply_effects(t, n, &mut fx);
+        self.fx_buf = fx;
     }
 }

@@ -27,13 +27,13 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod checkpoint;
 mod config;
 mod effects;
 mod ht_machine;
 mod machine;
-mod par;
 mod stall;
 mod stats;
 
@@ -43,6 +43,5 @@ pub use checkpoint::{
 pub use config::{MachineConfig, MachineConfigError, DEFAULT_WORKLOAD};
 pub use ht_machine::HtMachine;
 pub use machine::{run_paper, Machine, RunProgress};
-pub use ring_sim::pdes::Partition;
 pub use stall::{NodeStallState, RestoredFrom, StallCause, StallReport};
 pub use stats::{MachineStats, Report};

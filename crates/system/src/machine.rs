@@ -1,4 +1,5 @@
-//! The ring-protocol machine: event loop and effect execution.
+//! The ring-protocol machine: construction, the event loop, snapshots
+//! and reports. Effect execution lives in `effects.rs`.
 
 use ring_cache::LineAddr;
 use ring_coherence::{AgentInput, Effect, ProtocolKind, RingAgent, TxnId, TxnKind};
@@ -167,11 +168,6 @@ pub struct Machine {
     /// from; 0 for explicit streams ([`Machine::with_streams`]), whose
     /// snapshots cannot be restored (the streams are opaque).
     pub(crate) workload_fp: u64,
-    /// Node→LP assignment for the parallel engine (`None` = contiguous
-    /// arcs, derived from the worker count at run time). Purely an
-    /// execution-strategy knob: digests are identical for every
-    /// partition, so it is not part of any snapshot.
-    pub(crate) partition: Option<ring_sim::pdes::Partition>,
 }
 
 /// Outcome of one bounded slice of the event loop
@@ -373,38 +369,6 @@ impl Machine {
             next_ckpt: Cycle::MAX,
             restored_from: None,
             workload_fp: 0,
-            partition: None,
-        }
-    }
-
-    /// Builds the effect-execution context the serial engine commits
-    /// events through (exclusive access to every shard).
-    pub(crate) fn ctx(&mut self) -> crate::effects::Ctx<'_> {
-        crate::effects::Ctx {
-            cfg: &self.cfg,
-            queue: &mut self.queue,
-            net: &mut self.net,
-            rings: &self.rings,
-            nodes: crate::effects::NodeAccess::Excl {
-                cores: &mut self.cores,
-                agents: &mut self.agents,
-            },
-            mem: &mut self.mem,
-            cpp: &mut self.cpp,
-            pbufs: &mut self.pbufs,
-            finish_time: &mut self.finish_time,
-            stats: &mut self.stats,
-            registry: &mut self.registry,
-            anatomy_marks: &mut self.anatomy_marks,
-            mc_buf: &mut self.mc_buf,
-            trace: &mut self.trace,
-            sink: &mut self.sink,
-            trace_enabled: self.trace_enabled,
-            watchdog: &mut self.watchdog,
-            recent: &mut self.recent,
-            rel: &mut self.rel,
-            rel_buf: &mut self.rel_buf,
-            outage_buf: &mut self.outage_buf,
         }
     }
 
@@ -496,7 +460,7 @@ impl Machine {
     /// checkpoint boundary (and is still under the run's cycle cap),
     /// then advances the boundary. Called between events, so the
     /// snapshot captures a consistent machine with the queue intact.
-    pub(crate) fn maybe_checkpoint(&mut self, cap: Cycle) {
+    fn maybe_checkpoint(&mut self, cap: Cycle) {
         let every = self.ckpt_every;
         if every == 0 {
             return;
@@ -954,12 +918,7 @@ impl Machine {
                 }
                 return Err(Box::new(self.stall_report(StallCause::WatchdogExpired, t)));
             }
-            // Reuse one effect buffer across all events; `apply_effects`
-            // drains it and never re-enters `handle`, so taking the
-            // buffer out of `self` is safe.
-            let mut fx = std::mem::take(&mut self.fx_buf);
-            self.ctx().dispatch(t, ev, &mut fx);
-            self.fx_buf = fx;
+            self.dispatch(t, ev);
         }
         if budget == 0 && self.queue.peek_time().is_some_and(|pt| pt < cap) {
             // Budget exhausted with runnable work left: yield without
@@ -997,7 +956,7 @@ impl Machine {
     /// Probes machine state and folds it into the flight recorder,
     /// advancing the next window boundary past `t`. No-op without a
     /// recorder.
-    pub(crate) fn flight_sample(&mut self, t: Cycle) {
+    fn flight_sample(&mut self, t: Cycle) {
         let interval = match &self.flight {
             Some(f) => f.interval(),
             None => return,
@@ -1082,7 +1041,7 @@ impl Machine {
     }
 
     /// Snapshots the machine for a forward-progress failure at `now`.
-    pub(crate) fn stall_report(&self, cause: StallCause, now: Cycle) -> StallReport {
+    fn stall_report(&self, cause: StallCause, now: Cycle) -> StallReport {
         let nodes = self.node_stall_states();
         let reliability = self.rel.as_ref().map(|rel| {
             let fs = self.net.fault_stats();

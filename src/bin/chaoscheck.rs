@@ -29,6 +29,7 @@
 //! Exits 0 when every run passes, 1 otherwise.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 

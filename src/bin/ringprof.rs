@@ -19,6 +19,7 @@
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 use std::io::Write;
 use std::process::ExitCode;

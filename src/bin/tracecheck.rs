@@ -13,6 +13,7 @@
 //! otherwise (listing the violations found).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 use std::io::{BufRead, BufReader};
 use std::process::ExitCode;

@@ -41,6 +41,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use ring_cache as cache;
 pub use ring_coherence as coherence;

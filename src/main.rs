@@ -3,15 +3,16 @@
 //! ```text
 //! uncorq --app fmm --protocol uncorq [--ops 20000] [--seed 2007]
 //!        [--prefetch] [--dual-rings] [--row-major-ring] [--nodes 8x8]
-//!        [--workers N] [--check-invariants] [--histogram]
-//!        [--trace-out FILE] [--metrics-out FILE] [--profile]
-//!        [--profile-out BASE] [--chaos SEED] [--chaos-profile NAME]
-//!        [--watchdog N] [--checkpoint-every N] [--checkpoint-dir D] [--checkpoint-keep K]
+//!        [--check-invariants] [--histogram] [--trace-out FILE]
+//!        [--metrics-out FILE] [--profile] [--profile-out BASE]
+//!        [--chaos SEED] [--chaos-profile NAME] [--watchdog N]
+//!        [--checkpoint-every N] [--checkpoint-dir D] [--checkpoint-keep K]
 //!        [--restore PATH]
 //! uncorq --list
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -32,7 +33,6 @@ struct Args {
     dual_rings: bool,
     row_major_ring: bool,
     nodes: (usize, usize),
-    workers: usize,
     check_invariants: bool,
     histogram: bool,
     trace_line: Option<u64>,
@@ -63,7 +63,6 @@ impl Default for Args {
             dual_rings: false,
             row_major_ring: false,
             nodes: (8, 8),
-            workers: 1,
             check_invariants: false,
             histogram: false,
             trace_line: None,
@@ -88,7 +87,7 @@ impl Default for Args {
 const USAGE: &str =
     "usage: uncorq [--list] [--app NAME] [--protocol eager|supersetcon|supersetagg|uncorq|ht]
               [--ops N] [--seed N] [--prefetch] [--dual-rings] [--row-major-ring]
-              [--nodes WxH] [--workers N] [--check-invariants] [--histogram] [--trace-line N]
+              [--nodes WxH] [--check-invariants] [--histogram] [--trace-line N]
               [--trace-out FILE] [--stats-out FILE] [--metrics-out FILE]
               [--profile] [--profile-out BASE]
               [--chaos SEED] [--chaos-profile none|jitter|reorder|duplicate|congestion|chaos|
@@ -106,11 +105,9 @@ byte-identically from a snapshot file, or from the newest valid
 checkpoint when PATH is a directory (corrupted candidates are skipped
 with a typed error).
 
---workers N runs the conservative-PDES parallel engine with N total
-threads (1 = serial engine, the default). Every observable byte —
-report, stats, trace stream, checkpoints — is identical at every
-worker count; only wall-clock time changes. Not supported on the HT
-baseline machine, and --check-invariants forces the serial engine.
+Every run executes on one serial event loop; run independent
+configurations side by side (bench_sweep --threads, ringd sessions) for
+parallel throughput.
 
 --metrics-out writes the final machine statistics as JSON (including
 phase and per-class latency percentiles). --profile installs the flight
@@ -138,11 +135,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
                     .map_err(|e| format!("--seed: {e}"))?
             }
             "--prefetch" => a.prefetch = true,
-            "--workers" => {
-                a.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
             "--dual-rings" => a.dual_rings = true,
             "--row-major-ring" => a.row_major_ring = true,
             "--check-invariants" => a.check_invariants = true,
@@ -454,12 +446,7 @@ fn main() -> ExitCode {
             if args.profile {
                 m.enable_flight_recorder(FlightRecorder::new(FlightConfig::default()));
             }
-            let run = if args.workers > 1 {
-                m.try_run_parallel(args.workers)
-            } else {
-                m.try_run()
-            };
-            let r = match run {
+            let r = match m.try_run() {
                 Ok(r) => r,
                 Err(stall) => {
                     eprintln!("{stall}");
@@ -491,10 +478,6 @@ fn main() -> ExitCode {
         None => {
             if args.profile {
                 eprintln!("--profile is not supported on the HT baseline machine");
-                return ExitCode::FAILURE;
-            }
-            if args.workers > 1 {
-                eprintln!("--workers is not supported on the HT baseline machine");
                 return ExitCode::FAILURE;
             }
             let mut m = HtMachine::new(cfg, &profile);
